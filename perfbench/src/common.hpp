@@ -43,6 +43,9 @@ struct Args {
 [[nodiscard]] double quantile(std::vector<double> v, double q);
 [[nodiscard]] inline double median(std::vector<double> v) { return quantile(std::move(v), 0.5); }
 
+/// Mean of `v` without its lowest and highest `frac` share of values.
+[[nodiscard]] double trimmed_mean(std::vector<double> v, double frac);
+
 /// Peak resident set size of this process so far, in MB.
 [[nodiscard]] double peak_rss_mb();
 

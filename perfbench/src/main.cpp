@@ -38,6 +38,15 @@ double quantile(std::vector<double> v, double q) {
   return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
 }
 
+double trimmed_mean(std::vector<double> v, double frac) {
+  if (v.empty()) return std::nan("");
+  std::sort(v.begin(), v.end());
+  const auto drop = static_cast<std::size_t>(frac * static_cast<double>(v.size()));
+  double sum = 0.0;
+  for (std::size_t i = drop; i < v.size() - drop; ++i) sum += v[i];
+  return sum / static_cast<double>(v.size() - 2 * drop);
+}
+
 double peak_rss_mb() {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
@@ -150,7 +159,7 @@ int main(int argc, char** argv) {
   tr.set_enabled(a.trace);
   try {
     if (a.workload == "paper_n6")
-      run_paper(a, 6, 32768, rep, tr);
+      run_paper(a, 6, 16384, rep, tr);
     else if (a.workload == "paper_n48")
       run_paper(a, 48, 512, rep, tr);
     else if (a.workload == "tenant_mix")

@@ -1,29 +1,26 @@
 /// \file paper.cpp
 /// paper_n6 / paper_n48: one long Section 5.2 track smoothed with
 /// covariances through SmootherEngine::submit with Backend::Auto, on a
-/// kLanes-lane engine and on a 1-lane engine, alternating.  The traced run
-/// adds per-layer probes: the la kernels at the track's block shape, the
-/// core solvers called directly (Table 1's work ratio and Fig. 3's
-/// speed-up), and the engine/parallel counters.
+/// kLanes-lane engine and on a 1-lane engine, alternating.  latency_s is
+/// the kLanes-lane smooth, rate_per_s the 1-lane engine's smooths per
+/// second.  The traced run reports the engine/parallel counters of the
+/// timed smooths and probes the other layers on the same track: the la
+/// kernels at its block shape, the core solvers called directly (Table 1's
+/// work ratio and Fig. 3's speed-up), a streaming session and a serving
+/// tier.
 
-#include <array>
 #include <cstdio>
 #include <optional>
 
 #include "checks.hpp"
 #include "common.hpp"
-#include "core/associative.hpp"
-#include "core/oddeven.hpp"
-#include "core/paige_saunders.hpp"
-#include "core/selinv.hpp"
 #include "engine/engine.hpp"
 #include "kalman/rts.hpp"
 #include "kalman/simulate.hpp"
-#include "la/blas.hpp"
-#include "la/qr.hpp"
 #include "la/random.hpp"
 #include "la/types.hpp"
 #include "layer_metrics.hpp"
+#include "probes.hpp"
 
 namespace perfbench {
 
@@ -42,6 +39,16 @@ constexpr int kWarmups = 2;
 /// The timed loop runs whole rounds until --seconds have passed, and never
 /// fewer than this many.
 constexpr std::uint64_t kMinRounds = 5;
+/// The reported smooth times are means over every timed smooth without the
+/// fastest and slowest kTrim share: single smooths fall near one of two
+/// levels, so a median jumps between them while the mean follows their mix
+/// smoothly.
+constexpr double kTrim = 0.1;
+/// Traced-run probes: repetitions of each core phase, steps appended to
+/// the session probe, requests sent through the serve probe.
+constexpr int kProbeReps = 3;
+constexpr int kProbeAppends = 64;
+constexpr int kProbeRequests = 4;
 
 /// One engine of the workload and what its route must be.
 struct Lane {
@@ -102,125 +109,6 @@ void check_result(const kalman::Problem& p, const SmootherResult& r, const char*
   if (!covariances_well_formed(r.covariances, &why) ||
       static_cast<index>(r.covariances.size()) != p.num_states())
     rep.fail(std::string(what) + ": " + (why.empty() ? "covariance count" : why));
-}
-
-/// Median seconds of `reps` calls of `fn`.
-template <class Fn>
-double time_median(int reps, Fn&& fn) {
-  std::vector<double> t;
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = Clock::now();
-    fn();
-    t.push_back(seconds_since(t0));
-  }
-  return median(std::move(t));
-}
-
-/// Nanoseconds per call of `fn`, median over batches of `batch` calls.
-template <class Fn>
-double ns_per_call(int batch, Fn&& fn) {
-  return 1e9 / batch * time_median(31, [&] {
-           for (int i = 0; i < batch; ++i) fn();
-         });
-}
-
-/// Per-layer probes outside the engine: la kernels at the block shape and
-/// the core solvers called directly on all lanes and on one.
-void probe_layers(const kalman::Problem& p, index n, Tracer& tr, Report& rep) {
-  la::Rng rng(0xB10C5);
-  const la::Matrix a = la::random_gaussian(rng, n, n);
-  const la::Matrix b = la::random_gaussian(rng, n, n);
-  la::Matrix c(n, n);
-  const la::Matrix stacked = la::random_gaussian(rng, 2 * n, n);
-  la::Matrix work(2 * n, n);
-  std::vector<double> tau(static_cast<std::size_t>(n));
-  {
-    Span s(tr, "la.gemm");
-    rep.metric("la.gemm_ns", ns_per_call(256, [&] {
-                 la::gemm(1.0, a, la::Trans::No, b, la::Trans::No, 0.0, c);
-               }), "ns");
-  }
-  {
-    Span s(tr, "la.qr");
-    rep.metric("la.qr_ns", ns_per_call(256, [&] {
-                 work.assign_from(stacked);
-                 la::qr_factor(work, tau);
-               }), "ns");
-  }
-
-  const auto [q, prior] = observation_as_prior(p);
-  par::ThreadPool all(kLanes);
-  par::ThreadPool one(1);
-  constexpr int reps = 3;
-  const index grain = par::default_grain;
-  // Odd-even phases, median seconds each, on `pool`.
-  const auto oddeven_phases = [&](par::ThreadPool& pool, const char* factor_span,
-                                  const char* solve_span, const char* selinv_span) {
-    std::vector<la::Vector> sol;
-    std::vector<la::Matrix> covs;
-    kalman::OddEvenCovScratch scratch;
-    std::vector<double> tf, ts, tc;
-    for (int r = 0; r < reps; ++r) {
-      auto t0 = Clock::now();
-      const kalman::OddEvenFactor f = [&] {
-        Span s(tr, factor_span);
-        return kalman::oddeven_factor(p, pool, grain);
-      }();
-      tf.push_back(seconds_since(t0));
-      t0 = Clock::now();
-      {
-        Span s(tr, solve_span);
-        kalman::oddeven_solve_into(f, pool, grain, sol);
-      }
-      ts.push_back(seconds_since(t0));
-      t0 = Clock::now();
-      {
-        Span s(tr, selinv_span);
-        kalman::oddeven_covariances_into(f, pool, grain, scratch, covs);
-      }
-      tc.push_back(seconds_since(t0));
-    }
-    return std::array<double, 3>{median(tf), median(ts), median(tc)};
-  };
-  const auto oe_all = oddeven_phases(all, "core.oddeven.factor", "core.oddeven.solve",
-                                     "core.oddeven.selinv");
-  const auto oe_one = oddeven_phases(one, "core.oddeven.factor_1lane",
-                                     "core.oddeven.solve_1lane", "core.oddeven.selinv_1lane");
-  const double oe_lane1 = oe_one[0] + oe_one[1] + oe_one[2];
-  rep.metric("core.oddeven.factor_s", oe_all[0], "s");
-  rep.metric("core.oddeven.solve_s", oe_all[1], "s");
-  rep.metric("core.oddeven.selinv_s", oe_all[2], "s");
-  rep.metric("core.oddeven.1lane_s", oe_lane1, "s");
-  rep.metric("core.oddeven.speedup", oe_lane1 / (oe_all[0] + oe_all[1] + oe_all[2]), "x");
-
-  kalman::BidiagonalFactor bf;
-  std::vector<la::Vector> u;
-  std::vector<la::Matrix> s;
-  const double ps_factor = time_median(reps, [&] {
-    Span sp(tr, "core.paige_saunders.factor");
-    kalman::paige_saunders_factor_into(p, bf);
-  });
-  const double ps_solve = time_median(reps, [&] {
-    Span sp(tr, "core.paige_saunders.solve");
-    kalman::paige_saunders_solve_into(bf, u);
-  });
-  const double ps_selinv = time_median(reps, [&] {
-    Span sp(tr, "core.selinv");
-    kalman::selinv_bidiagonal_into(bf, s);
-  });
-  rep.metric("core.paige_saunders.factor_s", ps_factor, "s");
-  rep.metric("core.paige_saunders.solve_s", ps_solve, "s");
-  rep.metric("core.selinv_s", ps_selinv, "s");
-  rep.metric("core.oddeven.work_ratio", oe_lane1 / (ps_factor + ps_solve + ps_selinv), "x");
-
-  SmootherResult assoc;
-  kalman::AssociativeScratch ascratch;
-  kalman::AssociativeOptions aopts;
-  aopts.scratch = &ascratch;
-  rep.metric("core.associative_s", time_median(reps, [&] {
-               Span sp(tr, "core.associative");
-               kalman::associative_smooth_into(q, prior, all, aopts, assoc);
-             }), "s");
 }
 
 }  // namespace
@@ -298,12 +186,15 @@ void run_paper(const Args& a, long n_in, long k_in, Report& rep, Tracer& tr) {
   }
   std::fprintf(stderr, "perfbench: %llu rounds, worst optimality residual %.2e\n",
                static_cast<unsigned long long>(rounds), opt.worst);
+  for (const Lane& l : lanes)
+    std::fprintf(stderr, "perfbench: %s q10 %.4fs q50 %.4fs q90 %.4fs\n", l.span,
+                 quantile(l.wall, 0.1), quantile(l.wall, 0.5), quantile(l.wall, 0.9));
 
   if (!trace) {
     rep.metric("setup_s", setup_s, "s");
     rep.metric("peak_rss_mb", peak, "MB");
-    rep.metric("smooth_s", median(lanes[0].wall), "s");
-    rep.metric("smooth_1lane_s", median(lanes[1].wall), "s");
+    rep.metric("latency_s", trimmed_mean(lanes[0].wall, kTrim), "s");
+    rep.metric("rate_per_s", 1.0 / trimmed_mean(lanes[1].wall, kTrim), "1/s");
     return;
   }
 
@@ -328,7 +219,14 @@ void run_paper(const Args& a, long n_in, long k_in, Report& rep, Tracer& tr) {
   rep.metric("engine.solve_s", median(solve), "s");
   report_engine_jobs({multi.stats(), single.stats()}, {st0[0], st0[1]}, rounds, rep);
   rep.metric("trace.overhead", median(traced) / median(untraced), "ratio");
-  probe_layers(p, n, tr, rep);
+  rep.metric("core.gauss_newton.iterations", 0.0, "count");  // no nonlinear jobs
+  probe_kernels(n, tr, rep);
+  {
+    const auto [q, prior] = observation_as_prior(p);
+    probe_core(p, q, prior, kProbeReps, tr, rep);
+  }
+  probe_session(multi, p, kProbeAppends, tr, rep);
+  probe_serve(p, kProbeRequests, 2, tr, rep);
 }
 
 }  // namespace perfbench

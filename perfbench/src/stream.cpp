@@ -7,17 +7,20 @@
 /// session (the read half, served by the truncated delta path).  A run
 /// repeats whole epochs, rebuilding its sessions each time, and reports
 /// over all of them, so no single memory layout decides the figures.
+/// latency_s is the time of one append-plus-smooth_into, rate_per_s the
+/// ingest steps (evolve+observe) per second.
 
 #include <cstdio>
+#include <utility>
 
 #include "checks.hpp"
 #include "common.hpp"
-#include "core/filter.hpp"
 #include "engine/session.hpp"
 #include "kalman/rts.hpp"
 #include "la/random.hpp"
 #include "la/types.hpp"
 #include "layer_metrics.hpp"
+#include "probes.hpp"
 
 namespace perfbench {
 
@@ -35,6 +38,16 @@ constexpr index kN = 6;
 constexpr index kColdStates = 4097;  ///< states fed before the cold smooth
 constexpr int kRounds = 640;         ///< append+resmooth rounds per epoch
 constexpr std::uint64_t kMinEpochs = 3;
+/// Both end-to-end figures are means over the run's epochs without the
+/// fastest and slowest kTrim share: an epoch's rates fall near one of two
+/// levels ~30% apart (the level changes with the fresh sessions' memory),
+/// so a median over epochs jumps between the levels while the mean follows
+/// their mix smoothly.
+constexpr double kTrim = 0.1;
+/// Traced-run probes: repetitions of each core phase, requests sent
+/// through the serve probe.
+constexpr int kProbeReps = 5;
+constexpr int kProbeRequests = 8;
 /// One session's stream: the model and every observation it will see.
 struct Track {
   la::Matrix f, g;
@@ -68,6 +81,7 @@ SmootherResult rts_reference(const kalman::Problem& p) {
 struct Totals {
   std::vector<double> ingest_rate;  ///< steps per second, one per epoch
   std::vector<double> cold;        ///< seconds per cold smooth
+  std::vector<double> cold_queue, cold_solve;  ///< JobMetrics of the cold smooths
   double resmooth_s = 0.0;            ///< the current epoch's read half
   std::vector<double> resmooth_rate;  ///< operations per second, one per epoch
   std::vector<double> smooth_into; ///< seconds per smooth_into (traced runs)
@@ -110,6 +124,8 @@ void epoch(engine::SmootherEngine& eng, const std::vector<Track>& tracks, bool c
       continue;
     }
     tot.cold.push_back(seconds_since(t0));
+    tot.cold_queue.push_back(jr.metrics.queue_seconds);
+    tot.cold_solve.push_back(jr.metrics.solve_seconds);
     if (jr.metrics.backend == Backend::OddEven && jr.metrics.intra_parallel)
       ++tot.cold_oddeven;
     else
@@ -226,6 +242,8 @@ void run_stream(const Args& a, Report& rep, Tracer& tr) {
   }
 
   const engine::EngineStats st0 = eng.stats();
+  const double busy0 = eng.pool().busy_seconds();
+  const std::uint64_t tasks0 = eng.pool().tasks_executed();
   const bool trace = tr.enabled();
   tr.set_enabled(false);
   Totals tot;
@@ -244,6 +262,7 @@ void run_stream(const Args& a, Report& rep, Tracer& tr) {
     ++epochs;
     peak = std::max(peak, peak_rss_mb());
   }
+  const double wall = seconds_since(tm0);
   tr.set_enabled(trace);
   rep.attempted(epochs * kSessions * (1 + kRounds));
   rep.failed(tot.failed);
@@ -252,30 +271,19 @@ void run_stream(const Args& a, Report& rep, Tracer& tr) {
                "optimality %.2e; first smooth_into after a cold smooth %.4fs per epoch\n",
                static_cast<unsigned long long>(epochs), agree.worst, kSessionTol, opt.worst,
                tot.first_sync_s / static_cast<double>(epochs));
+  for (const auto& [what, v] : {std::pair{"ingest steps/s", &tot.ingest_rate},
+                                std::pair{"resmooths/s", &tot.resmooth_rate}})
+    std::fprintf(stderr, "perfbench: %s per epoch q10 %.0f q50 %.0f q90 %.0f\n", what,
+                 quantile(*v, 0.1), quantile(*v, 0.5), quantile(*v, 0.9));
 
   if (!trace) {
     rep.metric("setup_s", setup_s, "s");
     rep.metric("peak_rss_mb", peak, "MB");
-    rep.metric("ingest_steps_per_s", median(tot.ingest_rate), "1/s");
-    rep.metric("resmooths_per_s", median(tot.resmooth_rate), "1/s");
+    rep.metric("latency_s", 1.0 / trimmed_mean(tot.resmooth_rate, kTrim), "s");
+    rep.metric("rate_per_s", trimmed_mean(tot.ingest_rate, kTrim), "1/s");
     return;
   }
 
-  // core.filter.step_us: the filter underneath a session, driven directly.
-  {
-    Span sp(tr, "core.filter");
-    std::vector<double> per_step;
-    for (const Track& t : tracks) {
-      kalman::IncrementalFilter f(kN);
-      const auto t0 = Clock::now();
-      for (index i = 0; i < kColdStates; ++i) {
-        if (i > 0) f.evolve(t.f, la::Vector(), CovFactor::identity(kN));
-        f.observe(t.g, t.obs[static_cast<std::size_t>(i)], CovFactor::identity(kN));
-      }
-      per_step.push_back(seconds_since(t0) / static_cast<double>(kColdStates));
-    }
-    rep.metric("core.filter.step_us", median(per_step) * 1e6, "us");
-  }
   const double ops = static_cast<double>(tot.smooth_into.size());
   rep.metric("la.allocs_per_op", static_cast<double>(tot.allocs) / ops, "count");
   report_engine_jobs({eng.stats()}, {st0}, epochs, rep);
@@ -295,6 +303,28 @@ void run_stream(const Args& a, Report& rep, Tracer& tr) {
   const std::vector<double> traced(tot.smooth_into.begin() + static_cast<long>(untraced_ops),
                                    tot.smooth_into.end());
   rep.metric("trace.overhead", median(traced) / median(untraced), "ratio");
+  rep.metric("la.gflops",
+             engine::estimated_flops(tracks[0].prefix, true) / median(tot.cold_solve) * 1e-9,
+             "GFLOP/s");
+  rep.metric("parallel.utilization",
+             (eng.pool().busy_seconds() - busy0) / (wall * eng.concurrency()), "ratio");
+  rep.metric("parallel.tasks_per_op",
+             static_cast<double>(eng.pool().tasks_executed() - tasks0) /
+                 static_cast<double>(epochs * kSessions * (1 + kRounds)),
+             "count");
+  rep.metric("engine.queue_s", median(tot.cold_queue), "s");
+  rep.metric("engine.solve_s", median(tot.cold_solve), "s");
+  rep.metric("core.gauss_newton.iterations", 0.0, "count");  // no nonlinear jobs
+
+  // Layers the sessions do not reach on their own (the kernels, the core
+  // solvers called directly, a serving tier), probed on session 0's cold
+  // track.
+  probe_kernels(kN, tr, rep);
+  {
+    const auto [q, prior] = observation_as_prior(tracks[0].prefix);
+    probe_core(tracks[0].prefix, q, prior, kProbeReps, tr, rep);
+  }
+  probe_serve(tracks[0].prefix, kProbeRequests, 2, tr, rep);
 }
 
 }  // namespace perfbench

@@ -10,7 +10,8 @@
 /// round is two requests per tenant in tenant order; every run issues whole
 /// rounds.  Completion is detected by polling the window every ~20 us, so a
 /// request's latency (submit to future-ready) includes up to one poll
-/// interval.
+/// interval.  latency_s is the median request latency, rate_per_s the
+/// completed requests per second.
 
 #include <cstdio>
 #include <future>
@@ -25,6 +26,7 @@
 #include "la/random.hpp"
 #include "la/types.hpp"
 #include "layer_metrics.hpp"
+#include "probes.hpp"
 #include "pitk/serve.hpp"
 
 namespace perfbench {
@@ -54,9 +56,15 @@ constexpr std::uint64_t kMinRounds = 20;
 /// against the reference solvers after the timed phase.
 constexpr std::uint64_t kSampleEvery = 64;
 /// Throughput is taken per window of this many seconds and reported as the
-/// median over the run's whole windows, so a few seconds of interference
-/// from outside the process move it less.
+/// mean over the run's whole windows without the fastest and slowest kTrim
+/// share, so a few seconds of interference from outside the process move it
+/// less.
 constexpr double kWindowSeconds = 1.0;
+constexpr double kTrim = 0.1;
+/// Traced-run probes: repetitions of each core phase on one tenant track,
+/// steps appended to the session probe.
+constexpr int kProbeReps = 31;
+constexpr int kProbeAppends = 32;
 
 enum class Kind { Prior, NoPrior, Nonlinear };
 
@@ -75,6 +83,7 @@ struct Tenant {
   Kind kind;
   serve::TenantHandle handle;
   std::vector<kalman::Problem> problems;               // linear kinds
+  std::vector<double> flops;  ///< engine::estimated_flops of each problem
   std::optional<kalman::GaussianPrior> prior;          // Kind::Prior
   std::vector<engine::NonlinearJob> jobs;              // Kind::Nonlinear
   std::uint64_t issued = 0;
@@ -167,6 +176,7 @@ class Loop {
   }
 
   std::vector<double> latency, queue, solve, buffer_wait, admit, iterations;
+  std::vector<double> gflops;  ///< estimated_flops / solve time, linear requests
   std::vector<double> done_at;  ///< completion time since run() started
   std::vector<Sample> samples;
   std::uint64_t completed = 0;
@@ -227,6 +237,9 @@ class Loop {
     buffer_wait.push_back(lat - jr.metrics.queue_seconds - jr.metrics.solve_seconds);
     if (ten.kind == Kind::Nonlinear)
       iterations.push_back(static_cast<double>(jr.metrics.outer_iterations));
+    else
+      gflops.push_back(ten.flops[static_cast<std::size_t>(s.problem)] /
+                       jr.metrics.solve_seconds * 1e-9);
     if (mix64(seed_ ^ s.seq) % kSampleEvery == 0)
       samples.push_back({s.tenant, s.problem, s.out, jr.metrics.nonlinear_converged});
   }
@@ -262,6 +275,7 @@ std::vector<Tenant> make_tenants(std::uint64_t seed) {
       la::Vector x0({r.uniform(-10, 10), r.uniform(-1, 1), r.uniform(-10, 10), r.uniform(-1, 1)});
       const kalman::SimSpec spec = kalman::constant_velocity_spec(2, kSteps, 0.1, 0.3, 1.0, x0);
       kalman::Simulation sim = kalman::simulate(r, spec);
+      ten.flops.push_back(engine::estimated_flops(sim.problem, true));
       ten.problems.push_back(std::move(sim.problem));
       if (ten.kind == Kind::Prior && !ten.prior) {
         kalman::GaussianPrior prior;
@@ -377,19 +391,13 @@ void run_tenant_mix(const Args& a, Report& rep, Tracer& tr) {
   if (!trace) {
     rep.metric("setup_s", setup_s, "s");
     rep.metric("peak_rss_mb", peak, "MB");
-    rep.metric("requests_per_s", median(loop.window_rates()), "1/s");
-    rep.metric("request_p50_s", quantile(loop.latency, 0.5), "s");
+    rep.metric("latency_s", quantile(loop.latency, 0.5), "s");
+    rep.metric("rate_per_s", trimmed_mean(loop.window_rates(), kTrim), "1/s");
     return;
   }
 
   const std::uint64_t generator_allocs = la::aligned_alloc_count_this_thread() - a0_self;
   const serve::TierStats ts = tier.stats();
-  std::uint64_t batched = 0;
-  for (int c = 0; c < serve::num_tenant_classes; ++c)
-    batched += ts.classes[c].batched - ts0.classes[c].batched;
-  const std::uint64_t size_flushes = ts.size_flushes - ts0.size_flushes;
-  const std::uint64_t deadline_flushes = ts.deadline_flushes - ts0.deadline_flushes;
-  const double r = static_cast<double>(rounds);
   rep.metric("la.allocs_per_op",
              static_cast<double>(la::aligned_alloc_count() - a0 - generator_allocs) / n_req,
              "count");
@@ -401,20 +409,22 @@ void run_tenant_mix(const Args& a, Report& rep, Tracer& tr) {
   rep.metric("engine.queue_s", median(loop.queue), "s");
   rep.metric("engine.solve_s", median(loop.solve), "s");
   report_engine_jobs({eng.stats()}, {st0}, rounds, rep);
-  rep.metric("serve.buffer_wait_s", median(loop.buffer_wait), "s");
-  rep.metric("serve.batch_size",
-             static_cast<double>(batched) /
-                 static_cast<double>(std::max<std::uint64_t>(1, size_flushes + deadline_flushes)),
-             "count");
-  rep.metric("serve.size_flushes", static_cast<double>(size_flushes) / r, "count");
-  rep.metric("serve.deadline_flushes", static_cast<double>(deadline_flushes) / r, "count");
-  rep.metric("serve.admit_us", median(loop.admit) * 1e6, "us");
-  rep.metric("serve.request_p99_s", quantile(loop.latency, 0.99), "s");
+  report_serve(ts, ts0, n_req, loop.admit, loop.latency, loop.buffer_wait, rep);
   const std::vector<double> lat_untraced(loop.latency.begin(),
                                          loop.latency.begin() + static_cast<long>(untraced));
   const std::vector<double> lat_traced(loop.latency.begin() + static_cast<long>(untraced),
                                        loop.latency.end());
   rep.metric("trace.overhead", median(lat_traced) / median(lat_untraced), "ratio");
+  rep.metric("la.gflops", median(loop.gflops), "GFLOP/s");
+
+  // Layers the tier does not reach on its own (the kernels, the core
+  // solvers called directly, a streaming session), probed on tenant 0's
+  // first track with its prior.
+  const Tenant& t0 = tenants[0];
+  const kalman::Problem with_prior = kalman::with_prior_observation(t0.problems[0], *t0.prior);
+  probe_kernels(4, tr, rep);
+  probe_core(with_prior, t0.problems[0], *t0.prior, kProbeReps, tr, rep);
+  probe_session(eng, with_prior, kProbeAppends, tr, rep);
 }
 
 }  // namespace perfbench
